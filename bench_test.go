@@ -474,6 +474,48 @@ func BenchmarkMatchIndexEntries(b *testing.B) {
 	})
 }
 
+// BenchmarkMatchIndexConjunction measures the broker's visitor match path
+// on a 10k-entry table of fleet-shaped conjunctions, region = r ∧ fleet = f
+// ∧ speed in [lo, hi] over 64 regions and 16 fleets: the equality-bearing
+// shape the mixed tables above lack. Every speed range covers a sixth to
+// a half of the speed domain, so a report stabs thousands of range
+// constraints while its two equalities admit about ten rows.
+func BenchmarkMatchIndexConjunction(b *testing.B) {
+	const n = 10_000
+	r := rand.New(rand.NewSource(13))
+	tbl := routing.NewTable()
+	for i := 0; i < n; i++ {
+		lo := int64(r.Intn(120))
+		f := filter.MustNew(
+			filter.EQ("region", message.String(fmt.Sprintf("r%d", r.Intn(64)))),
+			filter.EQ("fleet", message.String(fmt.Sprintf("f%d", r.Intn(16)))),
+			filter.Range("speed", message.Int(lo), message.Int(lo+30+int64(r.Intn(60)))),
+		)
+		tbl.Add(routing.Entry{Filter: f, Hop: wire.BrokerHop(wire.BrokerID(fmt.Sprintf("n%d", i%16)))})
+	}
+	reports := make([]message.Notification, 64)
+	for i := range reports {
+		reports[i] = message.New(map[string]message.Value{
+			"region": message.String(fmt.Sprintf("r%d", r.Intn(64))),
+			"fleet":  message.String(fmt.Sprintf("f%d", r.Intn(16))),
+			"speed":  message.Int(int64(r.Intn(180))),
+		})
+	}
+	matched := 0
+	visit := func(*routing.Entry) { matched++ }
+	for _, rep := range reports {
+		tbl.EachMatchingEntry(rep, wire.Hop{}, visit)
+	}
+	if matched == 0 {
+		b.Fatal("no report matches")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.EachMatchingEntry(reports[i%len(reports)], wire.Hop{}, visit)
+	}
+}
+
 // matchScaleEntries builds the n-entry shape mix of matchBenchTable as
 // ready-made entries for the at-scale benchmarks, with two changes.
 // First, the filters are built ahead of time so the build benchmark's

@@ -231,47 +231,7 @@ func run(args []string) error {
 	}
 
 	// Accept incoming peers and clients.
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			link, err := transport.AcceptTCP(conn, self, b, transport.WithSendWindow(ring))
-			if err != nil {
-				log.Printf("handshake failed: %v", err)
-				continue
-			}
-			if link.Peer().IsClient() {
-				client := link.Peer().Client
-				if err := b.AttachRemoteClient(client, link); err != nil {
-					log.Printf("attach client %s: %v", client, err)
-					_ = link.Close()
-					continue
-				}
-				log.Printf("broker %s attached client %s", cfg.id, client)
-				go func() {
-					// When the client's connection dies it becomes a
-					// roaming client: detach and let the virtual
-					// counterpart buffer until it reappears somewhere.
-					<-link.Done()
-					if err := b.DetachClient(client); err != nil {
-						log.Printf("detach client %s: %v", client, err)
-					} else {
-						log.Printf("broker %s detached client %s (link closed)", cfg.id, client)
-					}
-				}()
-				continue
-			}
-			peer := link.Peer().Broker
-			if err := b.AddLink(peer, link); err != nil {
-				log.Printf("add link %s: %v", peer, err)
-				continue
-			}
-			watchPeerLink(b, peer, link, stop, nil)
-			log.Printf("broker %s accepted peer %s", cfg.id, peer)
-		}
-	}()
+	go serveConns(ln, self, b, ring, stop)
 
 	ticker := time.NewTicker(cfg.statsEvery)
 	defer ticker.Stop()
@@ -295,6 +255,69 @@ func run(args []string) error {
 			return nil
 		}
 	}
+}
+
+// maxPendingHandshakes bounds the connections handshaking at once. Each
+// holds its slot for at most transport.HandshakeTimeout, so a flood of
+// silent connections delays the next accept by at most that long.
+const maxPendingHandshakes = 256
+
+// serveConns accepts connections until ln is closed. Each connection
+// handshakes in its own goroutine, so one that never sends its identity
+// cannot hold up the peers and clients behind it.
+func serveConns(ln net.Listener, self wire.BrokerID, b *broker.Broker, ring flow.Options, stop <-chan struct{}) {
+	slots := make(chan struct{}, maxPendingHandshakes)
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		slots <- struct{}{}
+		go func() {
+			link, err := transport.AcceptTCP(conn, self, b, transport.WithSendWindow(ring))
+			<-slots
+			if err != nil {
+				log.Printf("handshake failed: %v", err)
+				return
+			}
+			attachConn(b, self, link, stop)
+		}()
+	}
+}
+
+// attachConn hooks a handshaken connection into the broker: a client is
+// attached (and detached again when its connection dies), a broker
+// becomes an overlay link.
+func attachConn(b *broker.Broker, self wire.BrokerID, link *transport.TCPLink, stop <-chan struct{}) {
+	if link.Peer().IsClient() {
+		client := link.Peer().Client
+		if err := b.AttachRemoteClient(client, link); err != nil {
+			log.Printf("attach client %s: %v", client, err)
+			_ = link.Close()
+			return
+		}
+		log.Printf("broker %s attached client %s", self, client)
+		go func() {
+			// When the client's connection dies it becomes a
+			// roaming client: detach and let the virtual
+			// counterpart buffer until it reappears somewhere.
+			<-link.Done()
+			if err := b.DetachClient(client); err != nil {
+				log.Printf("detach client %s: %v", client, err)
+			} else {
+				log.Printf("broker %s detached client %s (link closed)", self, client)
+			}
+		}()
+		return
+	}
+	peer := link.Peer().Broker
+	if err := b.AddLink(peer, link); err != nil {
+		log.Printf("add link %s: %v", peer, err)
+		_ = link.Close()
+		return
+	}
+	watchPeerLink(b, peer, link, stop, nil)
+	log.Printf("broker %s accepted peer %s", self, peer)
 }
 
 // watchPeerLink retracts a dead peer's routing state when its connection

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"net"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/broker"
+	"repro/internal/filter"
 	"repro/internal/flow"
+	"repro/internal/message"
 	"repro/internal/routing"
+	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 func TestRunRequiresID(t *testing.T) {
@@ -71,3 +78,52 @@ func TestRunRejectsBadPolicyListingNames(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleConnectionDoesNotWedgeAccept: a connection that opens and never
+// sends its handshake must not hold up the accept loop. While it stays
+// open, a legitimate client attaches and its subscription reaches the
+// broker's table well within the handshake deadline.
+func TestIdleConnectionDoesNotWedgeAccept(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	b := broker.New("b1", broker.Options{})
+	b.Start()
+	defer b.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go serveConns(ln, "b1", b, flow.Options{Capacity: transport.DefaultSendWindow, Policy: flow.Block}, stop)
+
+	idle, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+
+	start := time.Now()
+	link, err := transport.DialTCPClient(ln.Addr().String(), "alice", discard{})
+	if err != nil {
+		t.Fatalf("client handshake behind an idle connection: %v", err)
+	}
+	defer link.Close()
+	f := filter.MustNew(filter.EQ("type", message.String("quote")))
+	if err := link.Send(wire.NewSubscribe(wire.Subscription{Filter: f, Client: "alice", ID: "s1"})); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if subs, _ := b.TableSizes(); subs > 0 {
+			break
+		}
+		if time.Since(start) > transport.HandshakeTimeout/2 {
+			t.Fatal("client not attached while an idle connection holds its handshake open")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// discard is a transport.Receiver that drops everything.
+type discard struct{}
+
+func (discard) Receive(transport.Inbound) {}

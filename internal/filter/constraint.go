@@ -206,7 +206,7 @@ func (c Constraint) Matches(n message.Notification) bool {
 	return c.matchesValue(v)
 }
 
-func (c Constraint) matchesValue(v message.Value) bool {
+func (c *Constraint) matchesValue(v message.Value) bool {
 	switch c.Op {
 	case OpEQ:
 		return v.Equal(c.Value)
@@ -314,7 +314,8 @@ func (c Constraint) String() string {
 // its attribute — the value-test half of Matches, split out so callers that
 // already resolved the attribute (the routing match index looks each
 // attribute up once per notification) need not pay a second lookup.
-func (c Constraint) MatchesValue(v message.Value) bool { return c.matchesValue(v) }
+// It takes the constraint by pointer so hot loops need not copy it.
+func (c *Constraint) MatchesValue(v message.Value) bool { return c.matchesValue(v) }
 
 // key returns a canonical identity string for the constraint.
 func (c Constraint) key() string {

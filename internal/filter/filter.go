@@ -99,9 +99,33 @@ func (f Filter) Attrs() []string {
 
 // Matches reports whether the filter accepts the notification: every
 // constraint must hold.
-func (f Filter) Matches(n message.Notification) bool {
-	for _, c := range f.cs {
-		if !c.Matches(n) {
+func (f Filter) Matches(n message.Notification) bool { return matchSorted(f.cs, n, -1) }
+
+// MatchesExcept is Matches with the constraint at position skip (as At
+// numbers them) left unchecked; a negative skip checks every constraint.
+// The routing index uses it to verify a row whose skipped constraint the
+// index lookup has already established.
+func (f Filter) MatchesExcept(n message.Notification, skip int) bool {
+	return matchSorted(f.cs, n, skip)
+}
+
+// matchSorted is the one matching walk behind Matches and MatchesExcept.
+// The constraints and the notification's attributes are both sorted by
+// name, so a single merge resolves every constrained attribute: no
+// per-constraint lookup, no allocation, and constraints are read in
+// place (a Constraint is ~190 bytes, too large to copy per test).
+// Several constraints on one attribute all test the same value.
+func matchSorted(cs []Constraint, n message.Notification, skip int) bool {
+	j, ln := 0, n.Len()
+	for i := range cs {
+		if i == skip {
+			continue
+		}
+		c := &cs[i]
+		for j < ln && n.At(j).Name < c.Attr {
+			j++
+		}
+		if j == ln || n.At(j).Name != c.Attr || !c.matchesValue(n.At(j).Value) {
 			return false
 		}
 	}

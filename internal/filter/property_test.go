@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -184,5 +185,127 @@ func TestCanonicalIDStableQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFilterMatchesMergeWalkRandom checks the sorted-merge Matches (and
+// MatchesExcept) against the per-constraint definition: a filter accepts
+// a notification exactly when every constraint's own Matches does. The
+// generator draws several constraints per filter, often on one attribute,
+// with NaN operands, in-sets carrying duplicate members, and notifications
+// that leave constrained attributes out.
+func TestFilterMatchesMergeWalkRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1313))
+	attrs := []string{"a", "b", "c", "d"}
+	nan := message.Float(math.NaN())
+	val := func() message.Value {
+		switch rng.Intn(8) {
+		case 0:
+			return message.String([]string{"", "x", "xy"}[rng.Intn(3)])
+		case 1:
+			return message.Float(float64(rng.Intn(2)))
+		case 2:
+			return nan
+		case 3:
+			return message.Bool(rng.Intn(2) == 0)
+		default:
+			return message.Int(int64(rng.Intn(2)))
+		}
+	}
+	num := func() message.Value {
+		if rng.Intn(6) == 0 {
+			return nan
+		}
+		return message.Int(int64(rng.Intn(2)))
+	}
+	constraint := func() Constraint {
+		attr := attrs[rng.Intn(len(attrs))]
+		switch rng.Intn(9) {
+		case 0, 1:
+			return EQ(attr, val())
+		case 2:
+			return NE(attr, val())
+		case 3:
+			return LE(attr, num())
+		case 4:
+			return GT(attr, num())
+		case 5:
+			lo := rng.Intn(2)
+			return Range(attr, message.Int(int64(lo)), message.Int(int64(lo+rng.Intn(2))))
+		case 6:
+			// Built raw, as a decoded wire filter may be: duplicates and
+			// NaN members survive.
+			vs := make([]message.Value, 1+rng.Intn(3))
+			for i := range vs {
+				vs[i] = val()
+			}
+			if rng.Intn(2) == 0 {
+				vs = append(vs, vs[0])
+			}
+			return Constraint{Attr: attr, Op: OpIn, Values: vs}
+		case 7:
+			return Prefix(attr, []string{"", "x"}[rng.Intn(2)])
+		default:
+			return Exists(attr)
+		}
+	}
+	accepted := 0
+	for trial := 0; trial < 20000; trial++ {
+		cs := make([]Constraint, rng.Intn(5))
+		for i := range cs {
+			cs[i] = constraint()
+		}
+		f, err := New(cs...)
+		if err != nil {
+			continue
+		}
+		// Half the values are taken from the filter's own operands so that
+		// acceptance is common, not only rejection.
+		kv := make(map[string]message.Value)
+		for _, a := range attrs {
+			if rng.Intn(6) != 0 {
+				kv[a] = val()
+			}
+		}
+		for _, c := range cs {
+			if rng.Intn(2) != 0 {
+				continue
+			}
+			switch {
+			case c.Op == OpIn:
+				kv[c.Attr] = c.Values[rng.Intn(len(c.Values))]
+			case c.Op == OpRange:
+				kv[c.Attr] = c.Lo
+			case c.Value.IsValid():
+				kv[c.Attr] = c.Value
+			}
+		}
+		n := message.New(kv)
+		skip := -1
+		if f.Len() > 0 && rng.Intn(2) == 0 {
+			skip = rng.Intn(f.Len())
+		}
+		want, wantExcept := true, true
+		for i := 0; i < f.Len(); i++ {
+			if !f.At(i).Matches(n) {
+				want = false
+				if i != skip {
+					wantExcept = false
+				}
+			}
+		}
+		if got := f.Matches(n); got != want {
+			t.Fatalf("%s on %s: Matches = %v, constraints say %v", f, n, got, want)
+		}
+		if want && f.Len() > 1 {
+			accepted++
+		}
+		if got := f.MatchesExcept(n, skip); got != wantExcept {
+			t.Fatalf("%s on %s skipping %d: MatchesExcept = %v, constraints say %v", f, n, skip, got, wantExcept)
+		}
+	}
+	t.Logf("%d multi-constraint filters accepted", accepted)
+	if accepted < 500 {
+		t.Fatalf("only %d multi-constraint filters accepted: the generator barely tests acceptance", accepted)
 	}
 }

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/filter"
@@ -8,13 +9,25 @@ import (
 	"repro/internal/wire"
 )
 
-// matchIndex is a predicate-counting index over the table's entries: the
-// constraints of every filter are grouped by (attribute, operator class)
-// into typed posting lists, and matching a notification counts, per entry,
-// how many of its constraints are satisfied. An entry matches exactly when
-// its count reaches its constraint total — the classic counting algorithm —
-// so the per-notification cost is driven by the number of satisfied
-// predicates, not by the number of table entries.
+// matchIndex is a predicate-counting index over the table's entries, with
+// access-predicate clustering (Fabret et al., SIGMOD 2001) for filters that
+// carry an equality. Rows come in two kinds:
+//
+//   - access rows: a filter with at least one non-NaN = constraint is
+//     posted once, under one of them (its access predicate, or pivot). A
+//     probe that hits that bucket has established the pivot, so the row
+//     is verified directly against the notification and never counted.
+//     Its other constraints have no postings at all.
+//   - counting rows: every other filter (in-only, range-only, prefix,
+//     exists, ...) has each constraint grouped by (attribute, operator
+//     class) into typed posting lists, and matching counts how many of its
+//     constraints are satisfied — the classic counting algorithm. The row
+//     matches exactly when its count reaches its constraint total.
+//
+// Either way the per-notification cost is driven by the postings a
+// notification hits, not by the number of table entries; access rows keep
+// a conjunction like region ∧ fleet ∧ speed-range out of every broad range
+// probe that its equalities would fail anyway.
 //
 // Storage is struct-of-arrays, sized for 10⁶ entries: rows live in a paged
 // vector indexed by int32 slot, hops and owner identities are interned
@@ -48,7 +61,7 @@ type matchIndex struct {
 	free     cowslice[int32]
 	matchAll postlist
 	attrs    cowslice[attrRef] // per-attribute indexes, sorted by name
-	postings int               // live posting-list entries (one per constraint)
+	postings int               // live posted constraints (see IndexStats.Postings)
 	liveRows int
 
 	// Mutation-plane state: written in place under the table lock and
@@ -59,6 +72,7 @@ type matchIndex struct {
 	hopIDs  map[wire.Hop]int32
 	idents  []identKey // append-only owner intern table
 	identID map[identKey]int32
+	eqSeen  map[string]*eqSketch // per attribute, allocated on first use; see choosePivot
 
 	// identPosts / hopPosts are the per-owner and per-hop slot posting
 	// lists behind the O(k) enumeration paths (ClientEntries,
@@ -83,9 +97,22 @@ type row struct {
 	hash    uint64 // entryIdentHash of the entry
 	hopID   int32  // intern id; -1 marks a freed row
 	identID int32
-	total   int32 // constraint count
-	gen     uint32
-	f       filter.Filter
+	// total is the constraint count of a counting row, or -(pivot+1) for
+	// an access row posted under constraint f.At(pivot). Encoding the
+	// pivot here keeps the row at its size (a separate field would add
+	// 8 B per row after padding).
+	total int32
+	gen   uint32
+	f     filter.Filter
+}
+
+// pivot returns the position of an access row's access predicate, or -1
+// for a counting row.
+func (r *row) pivot() int {
+	if r.total < 0 {
+		return int(-r.total) - 1
+	}
+	return -1
 }
 
 type hopInfo struct {
@@ -254,9 +281,14 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	} else {
 		slot = x.rows.grow(x.epoch)
 	}
+	pivot := x.choosePivot(e.Filter)
+	total := int32(e.Filter.Len())
+	if pivot >= 0 {
+		total = -int32(pivot) - 1
+	}
 	r := x.rows.w(slot, x.epoch)
 	gen := r.gen // survives free/reuse; postings carry it
-	*r = row{hash: h, hopID: hopID, identID: identID, total: int32(e.Filter.Len()), gen: gen, f: e.Filter}
+	*r = row{hash: h, hopID: hopID, identID: identID, total: total, gen: gen, f: e.Filter}
 	x.liveRows++
 	sg := slotGen{slot: slot, gen: gen}
 	x.hopPosts[hopID].add(sg)
@@ -265,26 +297,117 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 		x.identPosts[identID].add(sg)
 		x.identPostLive++
 	}
-	if e.Filter.Len() == 0 {
+	switch {
+	case e.Filter.Len() == 0:
 		x.matchAll.add(x, sg)
-	} else {
+	case pivot >= 0:
+		x.post(sg, e.Filter.At(pivot))
+	default:
 		for ci := 0; ci < e.Filter.Len(); ci++ {
-			c := e.Filter.At(ci)
-			i, ok := x.findAttr(c.Attr)
-			if !ok {
-				as := x.attrs.own(x.epoch)
-				*as = append(*as, attrRef{})
-				copy((*as)[i+1:], (*as)[i:])
-				(*as)[i] = attrRef{name: c.Attr, ai: &attrIndex{stamp: x.epoch}}
-			}
-			ai := x.attrW(i)
-			ai.live++
-			ai.insert(x, sg, c)
-			x.postings++
+			x.post(sg, e.Filter.At(ci))
 		}
 	}
 	x.ident.insert(x, h, slot)
 	return true
+}
+
+// choosePivot picks the access predicate of a new row: among the filter's
+// non-NaN = constraints, the one whose attribute has shown the most
+// distinct = operands so far (the most selective bucket the index can
+// tell), the first on ties. It returns -1 when there is none and the row
+// is counted. The choice depends on what was inserted before, so removal
+// reads it back from the row and never recomputes it.
+//
+// Distinct operands are counted by eqSeen, not by the attribute's
+// equality buckets: access rows leave their other = operands unposted, so
+// bucket counts would lock every later row onto whichever attribute the
+// first one happened to post. Only filters with a choice to make feed
+// eqSeen, so tables without such filters never allocate it.
+func (x *matchIndex) choosePivot(f filter.Filter) int {
+	pivot, n := -1, 0
+	for ci := 0; ci < f.Len(); ci++ {
+		if c := f.At(ci); c.Op == filter.OpEQ && !isNaNValue(c.Value) {
+			if n == 0 {
+				pivot = ci
+			}
+			n++
+		}
+	}
+	if n < 2 {
+		return pivot
+	}
+	if x.eqSeen == nil {
+		x.eqSeen = make(map[string]*eqSketch)
+	}
+	best := -1
+	for ci := 0; ci < f.Len(); ci++ {
+		c := f.At(ci)
+		if c.Op != filter.OpEQ || isNaNValue(c.Value) {
+			continue
+		}
+		sk := x.eqSeen[c.Attr]
+		if sk == nil {
+			sk = new(eqSketch)
+			x.eqSeen[c.Attr] = sk
+		}
+		vb, vs := eqPayload(c.Value)
+		sk.add(hashValKey(c.Value.Kind(), vb, vs))
+		if d := sk.distinct(); d > best {
+			pivot, best = ci, d
+		}
+	}
+	return pivot
+}
+
+// eqSketch estimates how many distinct = operands an attribute has seen:
+// a 256-bit linear-counting bitmap, one bit per operand hash. Its
+// popcount grows with the distinct count and resolves small counts well
+// (64 values set ~57 bits, 16 set ~16); past about a thousand values it
+// nears 256 and stops telling attributes apart, where any choice gives
+// small buckets. It is insert-only and lives on the mutation plane; the
+// match path never reads it.
+type eqSketch [4]uint64
+
+func (s *eqSketch) add(h uint64) {
+	h ^= h >> 32
+	s[(h>>6)&3] |= 1 << (h & 63)
+}
+
+func (s *eqSketch) distinct() int {
+	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+}
+
+// post registers one constraint of the row at sg in its attribute's
+// posting lists, creating the attribute index on first use.
+func (x *matchIndex) post(sg slotGen, c filter.Constraint) {
+	i, ok := x.findAttr(c.Attr)
+	if !ok {
+		as := x.attrs.own(x.epoch)
+		*as = append(*as, attrRef{})
+		copy((*as)[i+1:], (*as)[i:])
+		(*as)[i] = attrRef{name: c.Attr, ai: &attrIndex{stamp: x.epoch}}
+	}
+	ai := x.attrW(i)
+	ai.live++
+	ai.insert(x, sg, c)
+	x.postings++
+}
+
+// unpost mirrors post for a removed row, dropping the attribute index once
+// its last constraint goes.
+func (x *matchIndex) unpost(c filter.Constraint) {
+	i, ok := x.findAttr(c.Attr)
+	if !ok {
+		return
+	}
+	ai := x.attrW(i)
+	ai.live--
+	ai.remove(x, c)
+	x.postings--
+	if ai.live == 0 {
+		as := x.attrs.own(x.epoch)
+		*as = append((*as)[:i], (*as)[i+1:]...)
+	}
 }
 
 // removeEntry deletes the exact entry, reporting whether it was present.
@@ -308,6 +431,7 @@ func (x *matchIndex) removeSlot(slot int32) {
 	// already owned at the current epoch.
 	hopID := rd.hopID
 	identID := rd.identID
+	pivot := rd.pivot()
 	x.ident.remove(hash, slot)
 	rw := x.rows.w(slot, x.epoch)
 	rw.gen++
@@ -325,21 +449,14 @@ func (x *matchIndex) removeSlot(slot int32) {
 		x.identPosts[identID].removeLazy(x)
 		x.identPostLive--
 	}
-	if f.Len() == 0 {
+	switch {
+	case f.Len() == 0:
 		x.matchAll.removeLazy(x)
-	} else {
+	case pivot >= 0:
+		x.unpost(f.At(pivot))
+	default:
 		for ci := 0; ci < f.Len(); ci++ {
-			c := f.At(ci)
-			if i, ok := x.findAttr(c.Attr); ok {
-				ai := x.attrW(i)
-				ai.live--
-				ai.remove(x, c)
-				x.postings--
-				if ai.live == 0 {
-					as := x.attrs.own(x.epoch)
-					*as = append((*as)[:i], (*as)[i+1:]...)
-				}
-			}
+			x.unpost(f.At(ci))
 		}
 	}
 	fs := x.free.own(x.epoch)
@@ -631,7 +748,8 @@ type scratch struct {
 	counts  []int32
 	stamp   []uint32
 	epoch   uint32
-	matched []int32 // row slots
+	matched []int32              // row slots
+	n       message.Notification // being matched; access rows verify against it
 	hopSeen map[int32]struct{}
 	hopOut  []hopRef
 	entry   Entry // reused across visit calls; &entry escapes into the callback
@@ -647,9 +765,24 @@ func (x *matchIndex) getScratch() *scratch {
 	if s == nil {
 		s = &scratch{hopSeen: make(map[int32]struct{})}
 	}
-	if n := x.rows.len(); len(s.counts) < n {
-		s.counts = make([]int32, n)
-		s.stamp = make([]uint32, n)
+	s.reset(x.rows.len())
+	return s
+}
+
+// reset readies s for one match over a row vector of the given length.
+func (s *scratch) reset(rows int) {
+	if len(s.counts) < rows {
+		// Powers of two up to one row page, whole pages beyond: a table
+		// growing one row at a time reallocates the arrays once per page
+		// (a few times within the first), not on every match after each
+		// add, and a small table's arrays stay small.
+		if rows > pageSize {
+			rows = (rows + pageMask) &^ pageMask
+		} else {
+			rows = 1 << bits.Len(uint(rows-1))
+		}
+		s.counts = make([]int32, rows)
+		s.stamp = make([]uint32, rows)
 	}
 	s.epoch++
 	if s.epoch == 0 { // wrapped: stale stamps could collide, reset them
@@ -657,11 +790,31 @@ func (x *matchIndex) getScratch() *scratch {
 		s.epoch = 1
 	}
 	s.matched = s.matched[:0]
-	return s
 }
 
-func (x *matchIndex) putScratch(s *scratch) { x.pool.Put(s) }
+func (x *matchIndex) putScratch(s *scratch) {
+	s.n = message.Notification{} // do not pin the notification in the pool
+	x.pool.Put(s)
+}
 
+// hit records a satisfied equality posting. Only equality buckets hold
+// access rows, so only their probes come through here; every other
+// posting list calls bump directly, which stays small enough to inline
+// into their loops.
+func (s *scratch) hit(sg slotGen, x *matchIndex) {
+	r := x.rows.at(sg.slot)
+	if r.total >= 0 {
+		s.bump(sg, x)
+		return
+	}
+	// An access row's only posting: its pivot holds, so verify the rest
+	// directly. No counter is touched.
+	if r.gen == sg.gen && r.f.MatchesExcept(s.n, r.pivot()) {
+		s.matched = append(s.matched, sg.slot)
+	}
+}
+
+// bump counts one satisfied predicate of a counting row.
 func (s *scratch) bump(sg slotGen, x *matchIndex) {
 	r := x.rows.at(sg.slot)
 	if r.gen != sg.gen {
@@ -690,6 +843,7 @@ func (s *scratch) bump(sg slotGen, x *matchIndex) {
 // the large one is cheaper than walking the large side, so the walk
 // switches shape on a size ratio.
 func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
+	s.n = n
 	for _, sg := range x.matchAll.s.s {
 		if x.rowLive(sg) {
 			s.matched = append(s.matched, sg.slot)
@@ -839,9 +993,13 @@ func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, visit f
 
 // IndexStats describes the predicate index backing a Table.
 type IndexStats struct {
-	Entries  int // table rows
-	Attrs    int // distinct indexed attributes
-	Postings int // posting-list entries across all buckets
+	Entries int // table rows
+	Attrs   int // distinct indexed attributes
+	// Postings counts the constraints registered in posting lists: every
+	// constraint of a counting row, and only the access predicate of an
+	// access row. An in-constraint counts once however many members it
+	// posts.
+	Postings int
 	MatchAll int // rows whose filter matches every notification
 	// IdentPostings / HopPostings count the live slot postings of the
 	// mutation-plane enumeration lists that serve the O(k) relocation

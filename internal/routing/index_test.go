@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -209,6 +210,126 @@ func TestIndexNaNOperands(t *testing.T) {
 	}
 }
 
+// TestIndexAccessPivotRemovalAfterDrift: an access row is posted under the
+// = constraint whose attribute had shown the most distinct values when it
+// was inserted. Once those counts change, a recomputed choice would
+// differ, so removal must unpost the stored pivot; a wrong one leaves
+// postings behind and the drain below would not reach zero. The ballast
+// rows carry two = each, since only filters with a choice to make feed
+// the distinct-value estimate.
+func TestIndexAccessPivotRemovalAfterDrift(t *testing.T) {
+	tbl := NewTable()
+	up := wire.BrokerHop("up")
+	zone := filter.EQ("zone", message.String("z0"))
+	var ballast []Entry
+	for i := 0; i < 4; i++ {
+		ballast = append(ballast, Entry{Filter: filter.MustNew(filter.EQ("fleet", message.Int(int64(i))), zone), Hop: up})
+	}
+	for _, e := range ballast {
+		tbl.Add(e)
+	}
+	car := Entry{Filter: filter.MustNew(
+		filter.EQ("region", message.String("r0")),
+		filter.EQ("fleet", message.Int(0)),
+		filter.Range("speed", message.Int(0), message.Int(50)),
+	), Hop: wire.BrokerHop("car")}
+	if !tbl.Add(car) {
+		t.Fatal("Add failed")
+	}
+	// fleet (4 values) beat region (none yet): one posting, one attribute.
+	if st := tbl.IndexStats(); st.Postings != 5 || st.Attrs != 1 {
+		t.Fatalf("conjunction should post once under fleet: %+v", st)
+	}
+	// region now has the most distinct values.
+	for i := 0; i < 16; i++ {
+		e := Entry{Filter: filter.MustNew(filter.EQ("region", message.String(fmt.Sprintf("r%d", i))), zone), Hop: up}
+		tbl.Add(e)
+		ballast = append(ballast, e)
+	}
+	report := func(speed int64) message.Notification {
+		return message.New(map[string]message.Value{
+			"region": message.String("r0"), "fleet": message.Int(0), "speed": message.Int(speed), "zone": message.String("z0"),
+		})
+	}
+	for _, speed := range []int64{10, 60} {
+		n := report(speed)
+		if got, want := tbl.MatchingHops(n, wire.Hop{}), tbl.MatchingHopsLinear(n, wire.Hop{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("speed %d: index %v, linear %v", speed, got, want)
+		}
+	}
+	if !tbl.Remove(car) {
+		t.Fatal("Remove failed")
+	}
+	if got := tbl.MatchingHops(report(10), wire.Hop{}); len(got) != 1 || got[0] != up {
+		t.Fatalf("after removal MatchingHops = %v, want just up", got)
+	}
+	for _, e := range ballast {
+		if !tbl.Remove(e) {
+			t.Fatal("Remove failed")
+		}
+	}
+	if st := tbl.IndexStats(); st.Entries != 0 || st.Postings != 0 || st.Attrs != 0 {
+		t.Fatalf("after drain IndexStats = %+v, want all zero", st)
+	}
+}
+
+// TestIndexPivotPrefersDistinctAttribute: in a table made only of
+// region ∧ fleet conjunctions, most rows must end up posted under region
+// (64 values) rather than fleet (16), even though no row ever posts both.
+// A choice by posted buckets alone would lock onto the first row's pivot.
+func TestIndexPivotPrefersDistinctAttribute(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	tbl := NewTable()
+	for i := 0; i < 2000; i++ {
+		tbl.Add(Entry{Filter: filter.MustNew(
+			filter.EQ("fleet", message.String(fmt.Sprintf("f%d", r.Intn(16)))),
+			filter.EQ("region", message.String(fmt.Sprintf("r%d", r.Intn(64)))),
+			filter.Range("speed", message.Int(0), message.Int(int64(r.Intn(100)))),
+		), Hop: wire.BrokerHop(wire.BrokerID(fmt.Sprintf("b%d", i)))})
+	}
+	byAttr := map[string]int{}
+	tbl.idx.forEachLiveSlot(func(_ int32, rw *row) {
+		byAttr[rw.f.At(rw.pivot()).Attr]++
+	})
+	if byAttr["region"] < 1900 {
+		t.Fatalf("pivots by attribute = %v, want nearly all on region", byAttr)
+	}
+}
+
+// TestMatchScratchGrowthAmortized: a table that grows by one row between
+// matches must not reallocate the counter arrays on every match; they are
+// sized in whole row pages, so allocations per add+match stay amortized
+// O(1) instead of two full-length arrays each time. The loop holds one
+// scratch rather than going through the pool, which the race detector
+// empties at random.
+func TestMatchScratchGrowthAmortized(t *testing.T) {
+	const rounds = 2048
+	tbl := NewTable()
+	up := wire.BrokerHop("up")
+	fs := make([]filter.Filter, rounds)
+	for i := range fs {
+		// Range rows are counted, so every match uses the counters.
+		fs[i] = filter.MustNew(filter.Range("p", message.Int(int64(i)), message.Int(int64(i+1))))
+	}
+	n := message.New(map[string]message.Value{"p": message.Int(0)})
+	s := &scratch{}
+	matched := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range fs {
+		tbl.Add(Entry{Filter: fs[i], Hop: up})
+		s.reset(tbl.idx.rows.len())
+		matched += len(tbl.idx.match(n, s))
+	}
+	runtime.ReadMemStats(&after)
+	if matched != rounds {
+		t.Fatalf("matched %d rows, want %d", matched, rounds)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / rounds; per > 1 {
+		t.Errorf("%.2f allocations per add+match, want amortized O(1) (at most 1)", per)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Property-based parity: under randomized filters, notifications, and
 // add/remove interleavings, the index must return byte-identical results to
@@ -283,7 +404,50 @@ func randConstraint(r *rand.Rand) filter.Constraint {
 	}
 }
 
+// randEqValue draws from the small value domain of the equality-heavy
+// conjunctions. Notifications draw from it too, so those conjunctions
+// match often enough to test. Float 1 equals neither Int 1 nor Int 2.
+func randEqValue(r *rand.Rand) message.Value {
+	switch r.Intn(4) {
+	case 0:
+		return message.String("x")
+	case 1:
+		return message.Int(1)
+	case 2:
+		return message.Int(2)
+	default:
+		return message.Float(1)
+	}
+}
+
+// randConjunction draws a fleet-shaped filter (region ∧ fleet ∧ speed
+// range): several = on distinct attributes plus one of the mixes the
+// access-predicate path must get right.
+func randConjunction(r *rand.Rand) filter.Filter {
+	cs := []filter.Constraint{filter.EQ("a", randEqValue(r))}
+	for _, attr := range []string{"b", "c"} {
+		if r.Intn(2) == 0 {
+			cs = append(cs, filter.EQ(attr, randEqValue(r)))
+		}
+	}
+	switch r.Intn(5) {
+	case 0: // two = on one attribute
+		cs = append(cs, filter.EQ(propAttrs[r.Intn(3)], randEqValue(r)))
+	case 1: // a NaN = next to a real one
+		cs = append(cs, filter.EQ(propAttrs[r.Intn(len(propAttrs))], message.Float(math.NaN())))
+	case 2: // in + =
+		cs = append(cs, filter.In(propAttrs[r.Intn(len(propAttrs))], randEqValue(r), randEqValue(r)))
+	case 3: // = + range
+		lo := int64(r.Intn(3))
+		cs = append(cs, filter.Range(propAttrs[3+r.Intn(2)], message.Int(lo), message.Int(lo+int64(r.Intn(3)))))
+	}
+	return filter.MustNew(cs...)
+}
+
 func randFilter(r *rand.Rand) filter.Filter {
+	if r.Intn(2) == 0 {
+		return randConjunction(r)
+	}
 	nc := r.Intn(4) // 0 => match-all
 	for {
 		cs := make([]filter.Constraint, nc)
@@ -315,14 +479,45 @@ func randEntry(r *rand.Rand) Entry {
 
 func randNotification(r *rand.Rand) message.Notification {
 	attrs := make(map[string]message.Value)
+	if r.Intn(2) == 0 {
+		// A fleet-shaped report: every attribute set, the = attributes
+		// from randConjunction's domain, the range attributes small ints.
+		for i, a := range propAttrs {
+			if i < 3 {
+				attrs[a] = randEqValue(r)
+			} else {
+				attrs[a] = message.Int(int64(r.Intn(4)))
+			}
+		}
+		return message.New(attrs)
+	}
 	for i, na := 0, r.Intn(5); i < na; i++ {
 		attrs[propAttrs[r.Intn(len(propAttrs))]] = randValue(r)
 	}
 	return message.New(attrs)
 }
 
-func checkParity(t *testing.T, tbl *Table, r *rand.Rand, step int) {
+// isConjunctionMatch reports whether e is a multi-constraint filter with
+// a real = constraint: a row the index verifies instead of counting.
+func isConjunctionMatch(e Entry) bool {
+	if e.Filter.Len() < 2 {
+		return false
+	}
+	for i := 0; i < e.Filter.Len(); i++ {
+		if c := e.Filter.At(i); c.Op == filter.OpEQ && !isNaNValue(c.Value) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkParity compares the index with the linear scan on three random
+// notifications and returns how many matched entries were conjunctions
+// with a real = constraint, so callers can check the generators reach
+// the access-row path.
+func checkParity(t *testing.T, tbl *Table, r *rand.Rand, step int) int {
 	t.Helper()
+	conj := 0
 	for i := 0; i < 3; i++ {
 		n := randNotification(r)
 		from := randHop(r)
@@ -341,7 +536,13 @@ func checkParity(t *testing.T, tbl *Table, r *rand.Rand, step int) {
 			t.Fatalf("step %d: MatchingEntries(%s, %s)\nindex:  %v\nlinear: %v",
 				step, n, from, gotEs, wantEs)
 		}
+		for _, e := range wantEs {
+			if isConjunctionMatch(e) {
+				conj++
+			}
+		}
 	}
+	return conj
 }
 
 func TestIndexParityProperty(t *testing.T) {
@@ -352,6 +553,7 @@ func TestIndexParityProperty(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			tbl := NewTable()
 			var live []Entry
+			conj := 0
 			for step := 0; step < 250; step++ {
 				switch op := r.Intn(10); {
 				case op < 6: // add
@@ -389,7 +591,10 @@ func TestIndexParityProperty(t *testing.T) {
 				if tbl.Len() != len(live) {
 					t.Fatalf("step %d: table has %d entries, shadow %d", step, tbl.Len(), len(live))
 				}
-				checkParity(t, tbl, r, step)
+				conj += checkParity(t, tbl, r, step)
+			}
+			if conj < 10 {
+				t.Errorf("only %d conjunction matches: the generator misses the access-row path", conj)
 			}
 			// Drain completely: the index must shrink back to nothing.
 			for _, e := range live {

@@ -22,24 +22,39 @@ func entriesEqual(a, b []Entry) bool {
 }
 
 // TestSnapshotParityProperty drives a random mutate/match workload and
-// checks, at every step, that a fresh snapshot reproduces the live table's
-// match results exactly, and that a snapshot taken earlier still
-// reproduces the results from its own point in time (immutability under
-// subsequent mutation).
+// checks, at every seventh step, that the live index and a fresh snapshot
+// both reproduce the linear scan's match results exactly, and that a
+// snapshot taken earlier still reproduces the results from its own point
+// in time (immutability under subsequent mutation).
 func TestSnapshotParityProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5eed))
 	tbl := NewTable()
 	var live []Entry
 
 	var held []*Snapshot
+	conj := 0
 
-	for step := 0; step < 400; step++ {
-		switch {
-		case len(live) == 0 || r.Intn(3) != 0:
+	// Steps past 400 drain: removals (some by client) outweigh adds, so
+	// the free list comes to dominate and snapshots switch to rebuilds,
+	// which re-choose every access row's pivot in a fresh index.
+	for step := 0; step < 600; step++ {
+		drain := step >= 400
+		switch op := r.Intn(6); {
+		case len(live) == 0 || (!drain && op < 4) || (drain && op == 0):
 			e := randEntry(r)
 			if tbl.Add(e) {
 				live = append(live, e)
 			}
+		case drain && op == 1:
+			e := live[r.Intn(len(live))]
+			tbl.RemoveClient(e.Client, e.SubID)
+			kept := live[:0]
+			for _, le := range live {
+				if le.Client != e.Client || le.SubID != e.SubID {
+					kept = append(kept, le)
+				}
+			}
+			live = kept
 		default:
 			i := r.Intn(len(live))
 			if !tbl.Remove(live[i]) {
@@ -57,10 +72,18 @@ func TestSnapshotParityProperty(t *testing.T) {
 			for p := 0; p < 3; p++ {
 				n := randNotification(r)
 				from := randHop(r)
-				want := tbl.MatchingEntries(n, from)
+				want := tbl.MatchingEntriesLinear(n, from)
+				if idx := tbl.MatchingEntries(n, from); !entriesEqual(idx, want) {
+					t.Fatalf("step %d: index/linear mismatch\nindex:  %v\nlinear: %v", step, idx, want)
+				}
 				got := sn.MatchingEntries(n, from)
 				if !entriesEqual(got, want) {
-					t.Fatalf("step %d: snapshot/live mismatch\nsnap: %v\nlive: %v", step, got, want)
+					t.Fatalf("step %d: snapshot/linear mismatch\nsnap:   %v\nlinear: %v", step, got, want)
+				}
+				for _, e := range want {
+					if isConjunctionMatch(e) {
+						conj++
+					}
 				}
 				// Re-probe this snapshot at the end of the run: results
 				// must be unchanged by everything that happens after.
@@ -84,6 +107,12 @@ func TestSnapshotParityProperty(t *testing.T) {
 	}
 	if st.Gen == 0 {
 		t.Fatal("mutations did not bump the generation")
+	}
+	if st.Rebuilds == 0 {
+		t.Fatalf("the drain phase never rebuilt: %+v", st)
+	}
+	if conj < 20 {
+		t.Fatalf("only %d conjunction matches: the generator misses the access-row path", conj)
 	}
 }
 

@@ -435,17 +435,17 @@ func (t *valTable) rehash(x *matchIndex, newCap int32) {
 	}
 }
 
-// probe bumps every live posting under the key.
+// probe records every live posting under the key (see scratch.hit).
 func (t *valTable) probe(kind message.Kind, bits uint64, str string, s *scratch, x *matchIndex) {
 	i := t.lookup(hashValKey(kind, bits, str), kind, bits, str)
 	if i < 0 {
 		return
 	}
 	sl := t.slots.at(i)
-	s.bump(sl.first, x)
+	s.hit(sl.first, x)
 	for ni := sl.more; ni >= 0; {
 		nd := t.arena.at(ni)
-		s.bump(nd.sg, x)
+		s.hit(nd.sg, x)
 		ni = nd.next
 	}
 }

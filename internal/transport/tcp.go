@@ -67,6 +67,17 @@ func frameClass(f tcpFrame) flow.Class { return f.cls }
 
 const maxFrameSize = 16 << 20 // 16 MiB; far above any legitimate message
 
+// maxHandshakeSize caps the identity frame exchanged at connect time: an
+// ID is a short name, so a peer announcing more is refused before any
+// buffer is allocated for it.
+const maxHandshakeSize = 256
+
+// HandshakeTimeout bounds the identity exchange of a new connection. A
+// peer that connects and stays silent is dropped when it expires instead
+// of holding the accepting side; the deadline is cleared once the link is
+// up, so established links never time out for being idle.
+const HandshakeTimeout = 5 * time.Second
+
 // DefaultSendWindow is the default frame-ring capacity: deep enough that
 // batched fan-outs never stall on a healthy socket, small enough that a
 // dead peer pins a bounded number of frames.
@@ -129,14 +140,22 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 		o(&cfg)
 	}
 	cfg.ring.MaxDrain = 0 // the writer always drains wholesale
+	if err := conn.SetDeadline(time.Now().Add(HandshakeTimeout)); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("transport: handshake deadline: %w", err)
+	}
 	if err := writeFrame(conn, []byte(self)); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake send: %w", err)
 	}
-	peerID, err := readFrame(conn)
+	peerID, err := readFrame(conn, maxHandshakeSize)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake recv: %w", err)
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("transport: handshake deadline: %w", err)
 	}
 	hop := wire.BrokerHop(wire.BrokerID(peerID))
 	if rest, ok := strings.CutPrefix(string(peerID), clientHandshakePrefix); ok {
@@ -389,7 +408,7 @@ func (l *TCPLink) Done() <-chan struct{} { return l.done }
 func (l *TCPLink) readLoop(recv Receiver) {
 	defer close(l.done)
 	for {
-		frame, err := readFrame(l.conn)
+		frame, err := readFrame(l.conn, maxFrameSize)
 		if err != nil {
 			return // connection closed or broken; receiver stops hearing from us
 		}
@@ -411,13 +430,13 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+func readFrame(r io.Reader, limit uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
+	if n > limit {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	buf := make([]byte, n)

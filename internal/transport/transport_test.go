@@ -660,7 +660,7 @@ func TestTCPLinkFlushFailureMidBatch(t *testing.T) {
 		}
 		// Hand-rolled handshake, then an immediate close: the client
 		// sees an established link whose peer dies mid-stream.
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		_ = conn.Close()
 	}()
@@ -787,7 +787,7 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		<-stopRead // never read frames; keep the connection open
 		_ = conn.Close()
@@ -835,11 +835,11 @@ func TestTCPLinkDropOldestEvictionReleasesFlush(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		<-resume // stall: no reads while the client fills socket + ring
 		for {
-			if _, err := readFrame(conn); err != nil {
+			if _, err := readFrame(conn, maxFrameSize); err != nil {
 				return
 			}
 		}
@@ -933,11 +933,11 @@ func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
 		}
 		defer conn.Close()
 		_ = conn.(*net.TCPConn).SetReadBuffer(8 << 10)
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		<-resume
 		for {
-			frame, err := readFrame(conn)
+			frame, err := readFrame(conn, maxFrameSize)
 			if err != nil {
 				return
 			}
@@ -1141,5 +1141,24 @@ func TestTCPLinkConcurrentFlushClose(t *testing.T) {
 	// The link must be fully closed and further sends must fail.
 	if err := cl.Send(pubMsg(99)); err == nil {
 		t.Error("Send after Close succeeded")
+	}
+}
+
+// TestTCPHandshakeRejectsOversizedID: the identity frame is capped far
+// below the data-frame limit, so a peer announcing a huge ID is refused
+// at once instead of being read into a large buffer.
+func TestTCPHandshakeRejectsOversizedID(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		_, _ = readFrame(client, maxHandshakeSize)
+		_ = writeFrame(client, make([]byte, maxHandshakeSize+1))
+	}()
+	start := time.Now()
+	if _, err := AcceptTCP(server, "b1", &sink{}); err == nil {
+		t.Fatal("oversized handshake ID accepted")
+	}
+	if d := time.Since(start); d > HandshakeTimeout/2 {
+		t.Fatalf("rejection took %v; it should not wait for the deadline", d)
 	}
 }
